@@ -267,10 +267,29 @@ func (c *Context) checkComm(comm *mpi.Comm) error {
 // membership seals) names the group's agreed seal epoch, and Seal advances
 // to exactly that epoch — so a rank that missed a round's JOIN rejoins the
 // schedule instead of desynchronizing the whole group.
+//
+// A sealer reuses its lane buffers from round to round, growing them to
+// the largest vector it has sealed: the lanes Seal returns are valid until
+// the next Seal, and a sealer is not safe for concurrent use.
 type GatewaySealer struct {
 	ctx      *Context
 	kind     SchemeKind
 	verifier *homac.Vector
+
+	cipher, tags []byte // sealed lanes, returned by Seal
+	plain        []byte // decrypt scratch of Open and OpenSurvivors
+}
+
+// sealTileElems is the tile Seal encrypts and then tags in one step: 32 KiB
+// of each lane, so a ciphertext tile is still in cache when it is tagged.
+const sealTileElems = 4 << 10
+
+// grow returns buf resized to n bytes, reallocating only past its capacity.
+func grow(buf []byte, n int) []byte {
+	if buf == nil || cap(buf) < n {
+		return make([]byte, n)
+	}
+	return buf[:n]
 }
 
 // NewGatewaySealer builds the gateway adapter for this context under the
@@ -325,8 +344,10 @@ func (g *GatewaySealer) Epoch() uint64 { return g.ctx.st.Epoch() }
 // Seal advances the collective key to the given epoch (0 means "advance
 // exactly once") and encrypts vals under the sealer's scheme, returning
 // the ciphertext lane and, when verification is enabled, the HoMAC tag
-// lane (both little-endian 64-bit lanes). Sealing at an epoch at or below
-// the current one is refused: the key schedule only moves forward, and a
+// lane (both little-endian 64-bit lanes, valid until the next Seal). It
+// works one sealTileElems tile at a time: encrypt the tile in place, then
+// tag it while it is still in cache. Sealing at an epoch at or below the
+// current one is refused: the key schedule only moves forward, and a
 // regression would reuse PRF streams.
 func (g *GatewaySealer) Seal(vals []int64, epoch uint64) (cipher, tags []byte, err error) {
 	s, err := g.ctx.Scheme(g.kind)
@@ -344,27 +365,30 @@ func (g *GatewaySealer) Seal(vals []int64, epoch uint64) (cipher, tags []byte, e
 			g.ctx.st.Advance()
 		}
 	}
-	cipher = make([]byte, n*8)
-	if err := s.Encrypt(g.ctx.st, marshal64(vals), cipher, n); err != nil {
-		return nil, nil, err
+	g.cipher = grow(g.cipher, n*8)
+	if g.verifier != nil {
+		g.tags = grow(g.tags, n*8)
+	}
+	for off := 0; off < n; off += sealTileElems {
+		m := min(sealTileElems, n-off)
+		w := g.cipher[off*8 : (off+m)*8]
+		for i, v := range vals[off : off+m] {
+			binary.LittleEndian.PutUint64(w[i*8:], uint64(v))
+		}
+		if err := s.EncryptAt(g.ctx.st, w, w, m, off); err != nil {
+			return nil, nil, err
+		}
+		if g.verifier != nil {
+			if err := g.verifier.TagAt(g.ctx.st, w, g.tags[off*8:(off+m)*8], off); err != nil {
+				return nil, nil, err
+			}
+		}
 	}
 	g.ctx.mx.sealOps.Inc()
 	if g.verifier == nil {
-		return cipher, nil, nil
+		return g.cipher, nil, nil
 	}
-	lanes := make([]uint64, n)
-	for i := range lanes {
-		lanes[i] = binary.LittleEndian.Uint64(cipher[i*8:])
-	}
-	sigma := make([]uint64, n)
-	if err := g.verifier.Tag(g.ctx.st, lanes, sigma); err != nil {
-		return nil, nil, err
-	}
-	tags = make([]byte, n*8)
-	for i, t := range sigma {
-		binary.LittleEndian.PutUint64(tags[i*8:], t)
-	}
-	return cipher, tags, nil
+	return g.cipher, g.tags, nil
 }
 
 // PrefetchNext starts speculative generation of the next seal epoch's
@@ -395,13 +419,7 @@ func (g *GatewaySealer) Verify(reducedCipher, reducedTags []byte) error {
 	if len(reducedTags) < n*8 {
 		return fmt.Errorf("hear: reduced tag lane %d B < %d elements", len(reducedTags), n)
 	}
-	lanes := make([]uint64, n)
-	sigma := make([]uint64, n)
-	for i := range lanes {
-		lanes[i] = binary.LittleEndian.Uint64(reducedCipher[i*8:])
-		sigma[i] = binary.LittleEndian.Uint64(reducedTags[i*8:])
-	}
-	if bad := g.verifier.Verify(g.ctx.st, lanes, sigma, g.ctx.size); bad >= 0 {
+	if bad := g.verifier.VerifyAt(g.ctx.st, reducedCipher, reducedTags, 0, g.ctx.size); bad >= 0 {
 		g.ctx.mx.verifyFailures.Inc()
 		return &ErrVerificationFailed{Element: bad}
 	}
@@ -420,12 +438,12 @@ func (g *GatewaySealer) Open(reduced []byte, out []int64) error {
 	if len(out) < n {
 		return fmt.Errorf("hear: out %d < %d elements", len(out), n)
 	}
-	buf := make([]byte, n*8)
-	if err := s.Decrypt(g.ctx.st, reduced, buf, n); err != nil {
+	g.plain = grow(g.plain, n*8)
+	if err := s.Decrypt(g.ctx.st, reduced, g.plain, n); err != nil {
 		return err
 	}
 	g.ctx.mx.openOps.Inc()
-	unmarshal64(buf, out[:n])
+	unmarshal64(g.plain, out[:n])
 	return nil
 }
 
@@ -508,13 +526,7 @@ func (g *GatewaySealer) VerifySurvivors(reducedCipher, reducedTags []byte, survi
 	if len(reducedTags) < n*8 {
 		return fmt.Errorf("hear: reduced tag lane %d B < %d elements", len(reducedTags), n)
 	}
-	lanes := make([]uint64, n)
-	sigma := make([]uint64, n)
-	for i := range lanes {
-		lanes[i] = binary.LittleEndian.Uint64(reducedCipher[i*8:])
-		sigma[i] = binary.LittleEndian.Uint64(reducedTags[i*8:])
-	}
-	bad, err := g.verifier.VerifySubset(g.ctx.st, missing, lanes, sigma, len(survivors))
+	bad, err := g.verifier.VerifySubsetAt(g.ctx.st, missing, reducedCipher, reducedTags, 0, len(survivors))
 	if err != nil {
 		return err
 	}
@@ -550,7 +562,8 @@ func (g *GatewaySealer) OpenSurvivors(reduced []byte, out []int64, survivors []i
 	if len(out) < n {
 		return fmt.Errorf("hear: out %d < %d elements", len(out), n)
 	}
-	work := make([]byte, n*8)
+	g.plain = grow(g.plain, n*8)
+	work := g.plain
 	copy(work, reduced)
 	if err := sc.FoldMissingNoise(g.ctx.st, work, n, missing); err != nil {
 		return err

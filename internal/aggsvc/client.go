@@ -20,7 +20,9 @@ type Sealer interface {
 	// "advance exactly once"); tags is nil when verification is disabled.
 	// The client calls Seal only after JOIN names the round's agreed
 	// epoch, so every participant of a round seals at the same epoch even
-	// if one of them previously fell behind the key schedule.
+	// if one of them previously fell behind the key schedule. The lanes
+	// may be the sealer's reused buffers, valid until the next Seal; the
+	// client is done with them once the round's RESULT is opened.
 	Seal(vals []int64, epoch uint64) (cipher, tags []byte, err error)
 	// Verify checks the reduced lanes before they are trusted.
 	Verify(reducedCipher, reducedTags []byte) error

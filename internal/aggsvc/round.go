@@ -417,13 +417,40 @@ func (r *roundState) fixEpoch(epoch uint64) {
 	r.fixEpochLocked(epoch)
 }
 
+// fixEpochLocked wakes every parked participant the moment the epoch is
+// fixed: it pokes each one's probe read (awaitFull) with a past deadline,
+// as abort does, *before* closing joinCh. awaitFull arms its probe
+// deadline under r.mu and clears it only after seeing joinCh closed, so a
+// poke can neither be overwritten by a later arm nor land after the clear
+// and kill the participant's first SUBMIT read.
 func (r *roundState) fixEpochLocked(epoch uint64) {
 	if r.epochSet {
 		return
 	}
 	r.epochSet = true
 	r.epochFixed = epoch
+	past := time.Unix(1, 0)
+	for _, p := range r.parts {
+		if p.conn != nil { // nil only for round-manager unit tests
+			p.conn.SetReadDeadline(past)
+		}
+	}
 	close(r.joinCh)
+}
+
+// armProbe sets a parked participant's probe read deadline, unless the
+// round's epoch is already fixed or the round has ended; it reports
+// whether it armed. Holding r.mu orders the arm against fixEpochLocked's
+// wake-up poke: the poke either overrides this deadline or is already
+// done, in which case joinCh is closed and the caller must not read.
+func (r *roundState) armProbe(conn net.Conn, d time.Duration) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.epochSet || r.done {
+		return false
+	}
+	conn.SetReadDeadline(time.Now().Add(d))
+	return true
 }
 
 // finishRelay resolves a federated round's second stage with the globally

@@ -618,7 +618,9 @@ func (s *Server) serveRound(conn net.Conn, h helloFrame, cohort int) bool {
 }
 
 // joinProbeInterval is how often the JOIN-wait loop samples a pending
-// participant's connection for early death or protocol violations.
+// participant's connection for early death or protocol violations. It
+// bounds liveness detection only: the JOIN itself wakes the wait at once
+// (fixEpochLocked pokes every parked reader).
 const joinProbeInterval = 20 * time.Millisecond
 
 // isTimeout reports whether err is a read-deadline expiry.
@@ -629,26 +631,27 @@ func isTimeout(err error) bool {
 
 // awaitFull parks an admitted participant until its round's seal epoch is
 // fixed (joinCh — at fill for flat rounds, after the upstream JOIN for
-// federated ones) or the round ends (doneCh). A legal client sends nothing
-// between HELLO and JOIN, so the wait probes the connection with short
-// read deadlines: silence means alive, data is a protocol violation, and
-// a dead connection frees the slot — a pre-fill death must not poison the
-// round, because nothing has been sealed against it yet. It reports
-// whether the handler should continue into the round (joinable or
-// aborted); false means this connection is done for.
+// federated ones) or the round ends (doneCh). Fixing the epoch pokes the
+// parked read awake, so JOIN goes out at once. A legal client sends
+// nothing between HELLO and JOIN, so the wait also probes the connection
+// with joinProbeInterval read deadlines: silence means alive, data is a
+// protocol violation, and a dead connection frees the slot — a pre-fill
+// death must not poison the round, because nothing has been sealed
+// against it yet. It reports whether the handler should continue into the
+// round (joinable or aborted); false means this connection is done for.
 func (s *Server) awaitFull(conn net.Conn, r *roundState, part *participant) bool {
 	var probe [1]byte
 	for {
-		select {
-		case <-r.joinCh:
+		if !r.armProbe(conn, joinProbeInterval) {
+			// Fixed or ended: both channels close only after their wake-up
+			// pokes, so clearing the deadline after the receive is final.
+			select {
+			case <-r.joinCh:
+			case <-r.doneCh:
+			}
 			conn.SetReadDeadline(time.Time{})
 			return true
-		case <-r.doneCh:
-			conn.SetReadDeadline(time.Time{})
-			return true
-		default:
 		}
-		conn.SetReadDeadline(time.Now().Add(joinProbeInterval))
 		n, err := conn.Read(probe[:])
 		switch {
 		case n > 0:
@@ -668,8 +671,8 @@ func (s *Server) awaitFull(conn net.Conn, r *roundState, part *participant) bool
 			s.finishRound(conn, r, part)
 			return false
 		case err == nil || isTimeout(err):
-			// Silence: still waiting. (An abort's read-deadline poke also
-			// lands here and is caught by the doneCh check next pass.)
+			// Silence: still waiting. (A JOIN or abort poke also lands
+			// here and is caught by armProbe next pass.)
 		default:
 			// The connection died. With the membership still open the slot
 			// is freed so the round fills from live clients; if the round

@@ -40,13 +40,18 @@ func NewBig(lambda int) (*Big, error) {
 // Lambda returns the bit length of the prime modulus.
 func (b *Big) Lambda() int { return b.p.BitLen() }
 
-func (b *Big) keyAt(pr prf.PRF, nonce uint64, j int) *big.Int {
-	// Draw ⌈λ/64⌉ PRF words per element.
+// keys derives the per-ciphertext keys of elements [0, n) of stream
+// nonce: ⌈λ/64⌉ PRF words per element, drawn with one keystream call.
+func (b *Big) keys(pr prf.PRF, nonce uint64, n int) []*big.Int {
 	words := (b.p.BitLen() + 63) / 64
-	buf := make([]byte, words*8)
-	pr.Keystream(buf, nonce+macDomain, uint64(j*words*8))
-	v := new(big.Int).SetBytes(buf)
-	return v.Mod(v, b.p)
+	buf := make([]byte, n*words*8)
+	pr.Keystream(buf, nonce+macDomain, 0)
+	out := make([]*big.Int, n)
+	for j := range out {
+		v := new(big.Int).SetBytes(buf[j*words*8 : (j+1)*words*8])
+		out[j] = v.Mod(v, b.p)
+	}
+	return out
 }
 
 // Tag produces canceling-form tags for the ciphertext lanes.
@@ -54,12 +59,15 @@ func (b *Big) Tag(st *keys.RankState, cipher []uint64, tags []*big.Int) error {
 	if len(tags) < len(cipher) {
 		return fmt.Errorf("homac: tag buffer %d < %d elements", len(tags), len(cipher))
 	}
-	self, next := st.SelfNonce(), st.NextNonce()
-	last := st.IsLast()
+	self := b.keys(st.Enc, st.SelfNonce(), len(cipher))
+	var next []*big.Int
+	if !st.IsLast() {
+		next = b.keys(st.Enc, st.NextNonce(), len(cipher))
+	}
 	for j, c := range cipher {
-		s := b.keyAt(st.Enc, self, j)
-		if !last {
-			s.Sub(s, b.keyAt(st.Enc, next, j))
+		s := self[j]
+		if next != nil {
+			s.Sub(s, next[j])
 		}
 		s.Sub(s, new(big.Int).SetUint64(c))
 		s.Mod(s, b.p)
@@ -77,11 +85,11 @@ func (b *Big) Aggregate(dst, src []*big.Int) {
 
 // Verify checks the reduced pairs; wraps bounds the data-lane 2^64 wraps.
 func (b *Big) Verify(st *keys.RankState, reducedCipher []uint64, tags []*big.Int, wraps int) int {
-	root := st.RootNonce()
+	root := b.keys(st.Enc, st.RootNonce(), len(reducedCipher))
 	pow64 := new(big.Int).Lsh(big.NewInt(1), 64)
 	pow64.Mod(pow64, b.p)
 	for j := range reducedCipher {
-		s0 := b.keyAt(st.Enc, root, j)
+		s0 := root[j]
 		rhs := new(big.Int).SetUint64(reducedCipher[j])
 		rhs.Add(rhs, new(big.Int).Mul(tags[j], b.z)).Mod(rhs, b.p)
 		ok := false

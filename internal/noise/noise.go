@@ -442,8 +442,8 @@ func (p *Prefetcher) cachedSpan(nonce, off uint64, n int) int {
 }
 
 // cachedPRF is the prf.PRF the prefetcher installs as RankState.Enc. Bulk
-// reads go through the plane cache; point queries (Uint64, HoMAC's form)
-// bypass it — they are O(1) block encryptions not worth a table scan. It
+// reads go through the plane cache; point queries (Uint64) bypass it —
+// they are O(1) block encryptions not worth a table scan. It
 // also implements prf.SpanCache, which is how the fused scheme kernels
 // (internal/core) split a noise span into a plane-served prefix and a
 // block-streamed tail: prefetch hit uses the plane, miss uses fusion.

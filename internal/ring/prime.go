@@ -79,3 +79,23 @@ func (f Fp) Inv(x uint64) uint64 {
 	}
 	return f.Pow(x, f.P-2)
 }
+
+// Reduce61 maps any 64-bit word into [0, 2^61−1) without branches: since
+// 2^61 ≡ 1 (mod 2^61−1), folding the top three bits onto the low 61 leaves
+// a value below 2^61 + 7, and one masked subtraction finishes the job.
+// It equals NewFp(MersennePrime61).Reduce(x) for every x.
+func Reduce61(x uint64) uint64 {
+	r := (x & MersennePrime61) + x>>61
+	d, borrow := bits.Sub64(r, MersennePrime61, 0)
+	return d + MersennePrime61&-borrow
+}
+
+// Mul61 returns x·y mod 2^61−1 without branches or a 128-bit division.
+// x·y must be below 2^124, which holds when y is reduced (below 2^61) and
+// x is below 2^63: the low 61 and the high bits of the product then add
+// (2^61 ≡ 1) to a value Reduce61 finishes. Words from the network, up to
+// 2^64−1, must be reduced first; Fp.Mul accepts them as they are.
+func Mul61(x, y uint64) uint64 {
+	hi, lo := bits.Mul64(x, y)
+	return Reduce61(lo&MersennePrime61 + (hi<<3 | lo>>61))
+}

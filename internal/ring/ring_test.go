@@ -243,3 +243,45 @@ func BenchmarkFpMul(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestMersenne61MatchesFp pins the branch-free Mersenne helpers to the
+// generic field arithmetic on random words and on the edge values 0, p−1,
+// p and 2^64−1 (network words reduce before they multiply).
+func TestMersenne61MatchesFp(t *testing.T) {
+	f := NewFp(MersennePrime61)
+	const p = MersennePrime61
+	edges := []uint64{0, 1, p - 1, p, p + 1, 2*p - 1, 2 * p, 1 << 61, 1 << 63, ^uint64(0) - 1, ^uint64(0)}
+	for _, x := range edges {
+		if got, want := Reduce61(x), f.Reduce(x); got != want {
+			t.Errorf("Reduce61(%#x) = %#x, want %#x", x, got, want)
+		}
+		for _, y := range edges {
+			xr, yr := Reduce61(x), Reduce61(y)
+			if got, want := Mul61(xr, yr), f.Mul(x, y); got != want {
+				t.Errorf("Mul61(Reduce61(%#x), Reduce61(%#x)) = %#x, want %#x", x, y, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(61))
+	for i := 0; i < 200000; i++ {
+		x, y := rng.Uint64(), rng.Uint64()
+		if got, want := Reduce61(x), f.Reduce(x); got != want {
+			t.Fatalf("Reduce61(%#x) = %#x, want %#x", x, got, want)
+		}
+		if got, want := Mul61(Reduce61(x), Reduce61(y)), f.Mul(x, y); got != want {
+			t.Fatalf("Mul61 on %#x, %#x = %#x, want %#x", x, y, got, want)
+		}
+		// The widest legal operands: x below 2^63, y reduced.
+		if got, want := Mul61(x>>1, Reduce61(y)), f.Mul(x>>1, y); got != want {
+			t.Fatalf("Mul61(%#x, Reduce61(%#x)) = %#x, want %#x", x>>1, y, got, want)
+		}
+	}
+}
+
+func BenchmarkMul61(b *testing.B) {
+	var sink uint64 = 12345
+	for i := 0; i < b.N; i++ {
+		sink = Mul61(sink, 987654321)
+	}
+	_ = sink
+}

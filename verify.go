@@ -1,7 +1,6 @@
 package hear
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -160,17 +159,9 @@ func (c *Context) verifiedAttempt(comm *mpi.Comm, verifier *homac.Vector, send, 
 		return err
 	}
 	// Tag the ciphertext lane.
-	lanes := make([]uint64, n)
-	for i := range lanes {
-		lanes[i] = binary.LittleEndian.Uint64(cipher[i*8:])
-	}
-	tags := make([]uint64, n)
-	if err := verifier.Tag(c.st, lanes, tags); err != nil {
-		return err
-	}
 	tagBytes := make([]byte, n*8)
-	for i, t := range tags {
-		binary.LittleEndian.PutUint64(tagBytes[i*8:], t)
+	if err := verifier.TagAt(c.st, cipher, tagBytes, 0); err != nil {
+		return err
 	}
 
 	// The network reduces both lanes: data mod 2^64, tags mod p.
@@ -182,11 +173,7 @@ func (c *Context) verifiedAttempt(comm *mpi.Comm, verifier *homac.Vector, send, 
 	}
 
 	// Verify before decrypting.
-	for i := range lanes {
-		lanes[i] = binary.LittleEndian.Uint64(cipher[i*8:])
-		tags[i] = binary.LittleEndian.Uint64(tagBytes[i*8:])
-	}
-	if bad := verifier.Verify(c.st, lanes, tags, c.size); bad >= 0 {
+	if bad := verifier.VerifyAt(c.st, cipher, tagBytes, 0, c.size); bad >= 0 {
 		return &ErrVerificationFailed{Element: bad}
 	}
 	if err := s.Decrypt(c.st, cipher, buf, n); err != nil {
