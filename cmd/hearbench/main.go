@@ -12,7 +12,7 @@
 //	hearbench prefetch   noise prefetch overlap speedup (BENCH_prefetch.json)
 //	hearbench federation gateway-federation fan-in scaling (BENCH_federation.json)
 //	hearbench wirepath   zero-copy fan-out bytes/sec/core vs legacy codec (BENCH_wirepath.json)
-//	hearbench roofline   fused vs two-pass kernel ns/elem across working sets (BENCH_roofline.json)
+//	hearbench roofline   streamed vs plane-fed kernel ns/elem across working sets (BENCH_roofline.json)
 //	hearbench inc        INC's latency/bandwidth advantages (intro claims)
 //	hearbench ablation   design-choice ablations (canceling, PRF backend, op cost)
 //	hearbench validate   §6 correctness validation (float error, int memcmp)

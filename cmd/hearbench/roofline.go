@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -11,15 +12,18 @@ import (
 	"hear/internal/prf"
 )
 
-// rooflineExp profiles the fused single-pass kernels against the two-pass
-// reference across working-set sizes that walk down the cache hierarchy:
-// ns/element for an int64-sum encrypt, fused vs two-pass, on the AES-NI
-// and software-ChaCha20 backends. The two-pass kernel materializes the
-// full keystream plane into scratch and combines in a second sweep, so
-// past L2 it streams ~4 buffers through DRAM where the fused loop streams
-// 2 plus an L1-resident staging block — the gap between the curves is the
-// memory-bandwidth roofline the fusion buys back. Emits
-// BENCH_roofline.json.
+// rooflineExp profiles the fused single-pass kernel against
+// materialize-then-combine across working-set sizes that walk down the
+// cache hierarchy: ns/element for an int64-sum encrypt on the AES-NI and
+// software-ChaCha20 backends. Both columns run the same kernel body; they
+// differ only in the noise source. "fused" streams keystream block by
+// block from the backend. "two-pass" wraps the backend in planePRF, so
+// the kernel first fills the whole keystream plane into pooled scratch
+// with one Keystream call and then combines from it. Past L2 that streams
+// ~4 buffers through DRAM where the fused loop streams 2 plus an
+// L1-resident staging block, so the gap between the columns is the cost of
+// plane materialization — the memory-bandwidth roofline fusion buys back.
+// Emits BENCH_roofline.json.
 
 type rooflineRow struct {
 	Backend string `json:"backend"`
@@ -28,9 +32,10 @@ type rooflineRow struct {
 	Iters   int    `json:"iters"`
 	// ns per element, encrypt direction (decrypt shares the same kernel
 	// structure; one direction keeps the sweep fast enough for CI).
-	FusedNsElem   float64 `json:"fused_ns_elem"`
+	FusedNsElem float64 `json:"fused_ns_elem"`
+	// TwoPassNsElem runs the same kernel on a planePRF noise source.
 	TwoPassNsElem float64 `json:"twopass_ns_elem"`
-	// Speedup = twopass / fused; > 1 means the fused path wins.
+	// Speedup = twopass / fused; > 1 means streaming wins.
 	Speedup float64 `json:"speedup"`
 }
 
@@ -43,8 +48,18 @@ type rooflineReport struct {
 	LargestWSSpeedup map[string]float64 `json:"largest_ws_speedup"`
 }
 
+// planePRF is the roofline's materialize-then-combine noise source. It
+// reports every span as cached (prf.SpanCache), so the kernel copies the
+// whole span into pooled scratch through the wrapped backend's bulk
+// Keystream before combining, and streams only a sub-block tail from
+// Generator. The bytes are the backend's, unchanged.
+type planePRF struct{ prf.PRF }
+
+func (p planePRF) CachedSpan(_, _ uint64, n int) int { return n }
+func (p planePRF) Generator() prf.PRF                { return p.PRF }
+
 // rooflinePass times iters EncryptAt calls over an n-element buffer and
-// returns ns/element. Fusion must already be set by the caller.
+// returns ns/element.
 func rooflinePass(s core.Scheme, st *keys.RankState, plain, cipher []byte, n, iters int) (float64, error) {
 	// Warmup: fault the buffers and fill the scratch/stream pools.
 	if err := s.EncryptAt(st, plain, cipher, n, 0); err != nil {
@@ -65,7 +80,7 @@ func rooflineExp() error {
 		return err
 	}
 	// 16 KiB sits in L1, 256 KiB in L2; 1–16 MiB spill to L3/DRAM where
-	// the two-pass plane round-trip starts paying memory bandwidth twice.
+	// the plane round-trip starts paying memory bandwidth twice.
 	sizes := []int{16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20}
 	const sweepBytes = 1 << 28 // per (backend, size, variant) measurement
 	minIters := 3
@@ -79,9 +94,8 @@ func rooflineExp() error {
 		Scheme:           scheme.Name(),
 		LargestWSSpeedup: map[string]float64{},
 	}
-	defer core.SetFusion(core.SetFusion(true)) // restore on exit
 
-	fmt.Println("roofline: int64-sum encrypt ns/elem, fused single-pass vs two-pass reference")
+	fmt.Println("roofline: int64-sum encrypt ns/elem, streamed noise vs materialized plane, one kernel")
 	fmt.Printf("%-16s %10s %12s %12s %8s\n", "backend", "ws", "fused", "two-pass", "speedup")
 	for _, backend := range []string{prf.BackendAESFast, prf.BackendChaCha20} {
 		states, err := benchStates(backend, 2)
@@ -90,6 +104,8 @@ func rooflineExp() error {
 		}
 		st := states[0]
 		st.Advance()
+		plane := *st
+		plane.Enc = planePRF{st.Enc}
 		for _, ws := range sizes {
 			n := ws / scheme.PlainSize()
 			iters := sweepBytes / ws
@@ -106,15 +122,16 @@ func rooflineExp() error {
 			cipher := make([]byte, n*scheme.CipherSize())
 			row := rooflineRow{Backend: backend, WSBytes: ws, Elems: n, Iters: iters}
 
-			core.SetFusion(true)
 			if row.FusedNsElem, err = rooflinePass(scheme, st, plain, cipher, n, iters); err != nil {
 				return err
 			}
-			core.SetFusion(false)
-			if row.TwoPassNsElem, err = rooflinePass(scheme, st, plain, cipher, n, iters); err != nil {
+			fused := append([]byte(nil), cipher...)
+			if row.TwoPassNsElem, err = rooflinePass(scheme, &plane, plain, cipher, n, iters); err != nil {
 				return err
 			}
-			core.SetFusion(true)
+			if !bytes.Equal(cipher, fused) {
+				return fmt.Errorf("roofline: %s ws=%s: plane-fed ciphertext differs from streamed", backend, fmtBytes(ws))
+			}
 
 			row.Speedup = row.TwoPassNsElem / row.FusedNsElem
 			report.Rows = append(report.Rows, row)

@@ -96,8 +96,9 @@ type NoiseProfile struct {
 // NoiseProfiler is implemented by schemes whose bulk noise reads are
 // statically describable. Schemes without it (the naive Θ(P)-decrypt
 // ablation variant, whose decrypt walks P per-rank streams) are simply
-// never prefetched. HoMAC's point queries go through PRF.Uint64, which is
-// outside profiles and always served by the live backend.
+// never prefetched. HoMAC streams its MAC-domain keys through
+// prf.BlockSource on the wrapper's Generator, outside profiles, so it is
+// always served by the live backend.
 type NoiseProfiler interface {
 	NoiseProfile() NoiseProfile
 }

@@ -20,7 +20,8 @@ import (
 // Bit-identity: a BlockSource produces exactly the bytes
 // Keystream(dst, nonce, off) would place at the same offsets, for every
 // backend — the cross-backend span-equivalence tests pin this, and it is
-// what makes the fused kernels bit-identical to the two-pass reference.
+// what lets a kernel mix a materialized prefix (prf.SpanCache) with a
+// streamed tail without changing a byte.
 
 // BlockBytes is the streaming block granularity of the fused kernels:
 // 64 bytes — the native ChaCha20 block and four AES blocks. Every scheme's
@@ -81,8 +82,8 @@ const (
 	// skipping the copy Keystream's bulk path performs per block.
 	kindChaCha
 	// kindCTR drives one persistent cipher.Stream (AES-NI pipelined
-	// assembly), constructed once per source — the same single allocation
-	// the two-pass path pays per bulk Keystream call.
+	// assembly), constructed once per source: one allocation per span
+	// above ctrCutoff, the same one a bulk Keystream call makes.
 	kindCTR
 )
 

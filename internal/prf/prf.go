@@ -89,11 +89,13 @@ func NewAESScalar(key []byte) (PRF, error) {
 
 func (p *aesScalar) Name() string { return "aes-ctr-scalar" }
 
+// blockAt encrypts the counter block nonce‖blockIdx in place in dst
+// (cipher.Block allows exact overlap): a local input array would escape
+// through the interface call and cost one heap allocation per block.
 func (p *aesScalar) blockAt(dst *[BlockSize]byte, nonce, blockIdx uint64) {
-	var in [BlockSize]byte
-	binary.BigEndian.PutUint64(in[0:8], nonce)
-	binary.BigEndian.PutUint64(in[8:16], blockIdx)
-	p.block.Encrypt(dst[:], in[:])
+	binary.BigEndian.PutUint64(dst[0:8], nonce)
+	binary.BigEndian.PutUint64(dst[8:16], blockIdx)
+	p.block.Encrypt(dst[:], dst[:])
 }
 
 func (p *aesScalar) Keystream(dst []byte, nonce, off uint64) {
